@@ -201,6 +201,12 @@ func (sp Spec) Validate() error {
 	if sp.Overhead < 0 || sp.Overhead > 1 || sp.TileFrac < 0 || sp.TileFrac > 1 {
 		return fmt.Errorf("service: overhead and tile_frac must lie in (0,1]")
 	}
+	if sp.PlaceEffort < 0 {
+		// The placer reads any effort <= 0 as 1.0, but the layout cache
+		// keys on the raw value: a negative effort would rebuild the
+		// effort-1 layout under a second key.
+		return fmt.Errorf("service: place_effort must not be negative (got %g)", sp.PlaceEffort)
+	}
 	if sp.SimLanes != 0 && (sp.SimLanes%64 != 0 || sp.SimLanes < 0 || sp.SimLanes > 64*sim.MaxWidth) {
 		return fmt.Errorf("service: sim_lanes must be a multiple of 64 in [64, %d] (got %d)",
 			64*sim.MaxWidth, sp.SimLanes)

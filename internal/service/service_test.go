@@ -27,6 +27,9 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := svc.Submit(Spec{Design: "9sym", Words: -1}); err == nil {
 		t.Fatal("negative words accepted")
 	}
+	if _, err := svc.Submit(Spec{Design: "9sym", PlaceEffort: -1}); err == nil {
+		t.Fatal("negative place_effort accepted")
+	}
 }
 
 func containsStr(s, sub string) bool {

@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 // evalClassBlock evaluates a classified opcode the way the block
-// evaluators do: permute the position inputs via the descriptor, then run
+// evaluator does: permute the position inputs via the descriptor, then run
 // the table-free kernel.
 func evalClassBlock(op uint8, msk uint16, in *[4]vec4) vec4 {
 	var o vec4

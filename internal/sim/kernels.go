@@ -30,7 +30,7 @@ func expandTT(tt uint16, k int) []uint64 {
 // pairBits compresses a pair table to one bit per word. Every expanded
 // word is a broadcast — 0 or all-ones — so the whole table of a k-input
 // LUT is 2^k bits, which fits the node's 16-bit msk field even at k = 4.
-// The block evaluators rebuild the table with register arithmetic
+// The block evaluator rebuilds the table with register arithmetic
 // (kernels4.go) instead of streaming it from memory, which removes the
 // pair-table array from the hot path's cache footprint entirely.
 func pairBits(tt uint16, k int) uint16 {
