@@ -7,7 +7,6 @@
 //	benchrepro -all
 //	benchrepro -table1 -fig5 -designs "s9234,MIPS R2000,DES" -effort 1.0
 //	benchrepro -json              # sim micro-bench → BENCH_sim.json
-//	benchrepro -json-service      # campaign-service load test → BENCH_service.json
 //	benchrepro -seu               # SEU vulnerability campaign (fault-parallel)
 //	benchrepro -json-faults       # fault-parallel vs serial scan → BENCH_faults.json
 //	benchrepro -json-repair       # repair-candidate search campaign → BENCH_repair.json
@@ -38,10 +37,6 @@ func main() {
 		jsonOut   = flag.String("json-out", "BENCH_sim.json", "output path for -json")
 		simCycles = flag.Int("sim-cycles", 256, "stimulus depth of the -json micro-benchmark")
 		simLanes  = flag.Int("lanes", 512, "parallel lanes of the wide -json rows (multiple of 64; 64 = width-1 only)")
-		jsonSvc   = flag.Bool("json-service", false, "run the campaign-service load test and write BENCH_service.json")
-		svcOut    = flag.String("json-service-out", "BENCH_service.json", "output path for -json-service")
-		svcN      = flag.Int("service-campaigns", 64, "campaigns in the -json-service burst")
-		svcW      = flag.Int("service-workers", 0, "service worker pool for -json-service (0 = GOMAXPROCS)")
 		seu       = flag.Bool("seu", false, "run the SEU vulnerability campaign (64-lane fault-parallel universe scan)")
 		jsonFlt   = flag.Bool("json-faults", false, "measure fault-parallel vs serial scan throughput and write BENCH_faults.json")
 		fltOut    = flag.String("json-faults-out", "BENCH_faults.json", "output path for -json-faults")
@@ -79,7 +74,7 @@ func main() {
 	if *all {
 		*table1, *fig3, *fig4, *fig5, *ablations = true, true, true, true, true
 	}
-	if !*table1 && !*fig3 && !*fig4 && !*fig5 && !*ablations && *faultsN == 0 && !*jsonBench && !*jsonSvc && !*seu && !*jsonFlt && !*jsonMF && !*jsonRep && !*jsonEco && !*jsonOvl && !*jsonStg && !*jsonStore {
+	if !*table1 && !*fig3 && !*fig4 && !*fig5 && !*ablations && *faultsN == 0 && !*jsonBench && !*seu && !*jsonFlt && !*jsonMF && !*jsonRep && !*jsonEco && !*jsonOvl && !*jsonStg && !*jsonStore {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -101,7 +96,6 @@ func main() {
 		{*jsonStg, "-json-stages-out", *stgOut},
 		{*jsonEco, "-json-eco-out", *ecoOut},
 		{*jsonOvl, "-json-overlay-out", *ovlOut},
-		{*jsonSvc, "-json-service-out", *svcOut},
 		{*jsonStore, "-json-store-out", *storeOut},
 	} {
 		if out.on {
@@ -340,21 +334,6 @@ func main() {
 			die(err)
 		}
 		fmt.Printf("wrote %s\n", *storeOut)
-	}
-	if *jsonSvc {
-		rep, err := experiments.ServiceLoadTest(cfg, *svcN, *svcW)
-		if err != nil {
-			die(err)
-		}
-		fmt.Println(experiments.FormatServiceLoad(rep))
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			die(err)
-		}
-		if err := os.WriteFile(*svcOut, append(blob, '\n'), 0o644); err != nil {
-			die(err)
-		}
-		fmt.Printf("wrote %s\n", *svcOut)
 	}
 }
 

@@ -42,8 +42,7 @@
 // design is only a behavioural oracle; the compiled candidate program is
 // cached per injected design). Campaigns that build a layout accept
 // "overlay":true to pre-reserve the debug overlay (zero-CAD probe
-// switching + causal-chain localizer); -overlay turns it on for every
-// such campaign by default. Submit from the shell:
+// switching + causal-chain localizer). Submit from the shell:
 //
 //	curl -s -X POST localhost:8080/campaigns -d '{"design":"9sym","fault_seed":1}'
 //	curl -s -X POST localhost:8080/campaigns -d '{"design":"9sym","kind":"faultscan","patterns":128}'
@@ -79,15 +78,13 @@ func main() {
 		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		dataDir    = flag.String("data-dir", "", "durable store directory (journal + blob spill); empty = in-memory only")
 		replicas   = flag.Int("replicas", 1, "service replicas behind the sharding coordinator (1 = classic single service)")
-		overlayOn  = flag.Bool("overlay", false, "enable the pre-reserved debug overlay (zero-CAD probe switching + causal localizer) on every debug/repair campaign by default")
 	)
 	flag.Parse()
 
 	cfg := service.Config{
-		Workers:        *workers,
-		CacheBytes:     *cacheMB << 20,
-		CacheEntries:   *cacheEntry,
-		DefaultOverlay: *overlayOn,
+		Workers:      *workers,
+		CacheBytes:   *cacheMB << 20,
+		CacheEntries: *cacheEntry,
 	}
 	if *traceLog != "" {
 		f, err := os.OpenFile(*traceLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

@@ -178,6 +178,11 @@ func storeSpecs(cfg Config) []service.Spec {
 	return specs
 }
 
+// specKey names a campaign by design and fault seed.
+func specKey(sp service.Spec) string {
+	return fmt.Sprintf("%s/%d", sp.Design, sp.FaultSeed)
+}
+
 // runAll submits every spec to api and returns design/seed-keyed digests.
 func runAll(api service.API, specs []service.Spec) (map[string]string, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
@@ -197,9 +202,9 @@ func runAll(api service.API, specs []service.Spec) (map[string]string, error) {
 		}
 		res, err := w.Wait(ctx, id)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: campaign %s (%s): %w", id, loadSpecKey(sp), err)
+			return nil, fmt.Errorf("experiments: campaign %s (%s): %w", id, specKey(sp), err)
 		}
-		digests[loadSpecKey(sp)] = res.Digest
+		digests[specKey(sp)] = res.Digest
 	}
 	return digests, nil
 }
@@ -296,7 +301,7 @@ func StoreBench(cfg Config, records int) (*StoreBenchReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	key := loadSpecKey(specs[0])
+	key := specKey(specs[0])
 	rep.MemDiskParity = memDigests[key] == before[key] && bareDigests[key] == before[key]
 
 	// Shard balance: the mixed burst through a 2-replica coordinator.

@@ -26,6 +26,7 @@
 //     (Spec.SimLanes picks the lane-vector width W).
 //
 // The same typed API (Submit / Status / Events / Wait / Cancel) is served
-// in-process (the load generator in internal/experiments) and over
-// HTTP/JSON by cmd/fpgadbgd (see http.go and client.go).
+// in-process (cmd/fpgadbg without -remote, the harnesses in
+// internal/experiments) and over HTTP/JSON by cmd/fpgadbgd (see http.go
+// and client.go), so every campaign a user starts runs runCampaign.
 package service

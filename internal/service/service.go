@@ -511,10 +511,6 @@ type Config struct {
 	// overhead benchmark (experiments.TelemetryBench) uses it as the
 	// control arm.
 	NoTelemetry bool
-	// DefaultOverlay turns Spec.Overlay on for every submitted campaign
-	// that builds a layout (faultscan campaigns are left alone — they
-	// have none). The daemon wires -overlay here.
-	DefaultOverlay bool
 	// Store, when set, makes campaign state durable: lifecycle
 	// transitions are journaled, rebuildable artifacts spill into the
 	// blob area, and Open replays the journal on startup (persist.go).
@@ -665,9 +661,6 @@ func (s *Service) Registry() *obs.Registry { return s.reg }
 // Submit validates and enqueues a campaign, returning its ID.
 func (s *Service) Submit(spec Spec) (string, error) {
 	spec = spec.withDefaults()
-	if s.cfg.DefaultOverlay && spec.Kind != KindFaultScan {
-		spec.Overlay = true
-	}
 	if err := spec.Validate(); err != nil {
 		return "", err
 	}

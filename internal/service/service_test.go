@@ -255,13 +255,14 @@ func TestPriorityOrdering(t *testing.T) {
 
 // TestConcurrentSubmissionsDeterministic is the -race workhorse: a burst
 // of concurrent campaigns over shared cached artifacts must produce
-// exactly the results a serial service produces.
+// exactly the results a serial service produces, and every one of those
+// results must be a clean correction.
 func TestConcurrentSubmissionsDeterministic(t *testing.T) {
 	specs := []Spec{
-		fastSpec("9sym", 1), fastSpec("9sym", 2), fastSpec("9sym", 3),
-		fastSpec("c880", 1), fastSpec("c880", 2), fastSpec("c880", 3),
+		fastSpec("9sym", 1), fastSpec("9sym", 2), fastSpec("9sym", 3), fastSpec("9sym", 4),
+		fastSpec("c880", 1), fastSpec("c880", 2), fastSpec("c880", 3), fastSpec("c880", 4),
 	}
-	const repeats = 4 // 24 campaigns over 8 workers
+	const repeats = 4 // 32 campaigns over 8 workers
 
 	// Serial reference.
 	ref := make(map[string]string) // spec key -> digest
@@ -274,6 +275,10 @@ func TestConcurrentSubmissionsDeterministic(t *testing.T) {
 		res, err := serial.Wait(context.Background(), id)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// Clean is a digest field, so the burst below inherits this check.
+		if !res.Clean {
+			t.Fatalf("serial reference %s did not converge: %+v", specKey(sp), res)
 		}
 		ref[specKey(sp)] = res.Digest
 	}

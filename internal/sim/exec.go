@@ -12,11 +12,12 @@ package sim
 //     hooks.
 //
 // The plain pass comes in a width-1 specialization (one uint64 per net,
-// bit-identical to the pre-vector engine), a block specialization for
-// widths divisible by four, and a stride-W loop for the rest; each
-// amortizes kernel dispatch over the whole lane vector: the opcode
-// switch, table slicing and fanin index arithmetic are paid once per
-// node, then W words stream through straight-line word arithmetic.
+// bit-identical to the pre-vector engine) and a block specialization for
+// widths divisible by four; any other width falls through to the hooked
+// pass's stride-W loop, whose hooks are nil-guarded. Each loop amortizes
+// kernel dispatch over the whole lane vector: the opcode switch, table
+// slicing and fanin index arithmetic are paid once per node, then W
+// words stream through straight-line word arithmetic.
 
 import "unsafe"
 
@@ -33,7 +34,10 @@ func (m *Machine) evalPlainRange(lo, hi int32, buf []uint64) {
 	case m.width%4 == 0:
 		m.evalPlainRangeB(lo, hi, buf)
 	default:
-		m.evalPlainRangeW(lo, hi, buf)
+		// No benchmark workload runs these widths (2, 3, 5-7, 9-11,
+		// 13-15); the hooked pass's stride-W loop computes the same
+		// values with every hook disarmed.
+		m.evalHookedRange(lo, hi, buf)
 	}
 }
 
@@ -66,70 +70,10 @@ func (m *Machine) evalPlainRange1(lo, hi int32, buf []uint64) {
 	}
 }
 
-func (m *Machine) evalPlainRangeW(lo, hi int32, buf []uint64) {
-	W := m.width
-	v := m.val
-	fan := m.fanin
-	ttab := m.ttab
-	nodes := m.nodes
-	for i := lo; i < hi; i++ {
-		n := nodes[i]
-		s := n.start
-		o := int(n.out) * W
-		switch n.op {
-		case opTT2, opXor2, opChain2:
-			t := ttab[n.aux : n.aux+4 : n.aux+4]
-			a := int(fan[s]) * W
-			b := int(fan[s+1]) * W
-			for w := 0; w < W; w++ {
-				v[o+w] = evalTab2(t, v[a+w], v[b+w])
-			}
-		case opTT3, opXor3, opChain3, opMux3, opMaj3:
-			t := ttab[n.aux : n.aux+8 : n.aux+8]
-			a := int(fan[s]) * W
-			b := int(fan[s+1]) * W
-			c := int(fan[s+2]) * W
-			for w := 0; w < W; w++ {
-				v[o+w] = evalTab3(t, v[a+w], v[b+w], v[c+w])
-			}
-		case opTT4, opXor4, opChain4, opTree4, opSplit4:
-			t := ttab[n.aux : n.aux+16 : n.aux+16]
-			a := int(fan[s]) * W
-			b := int(fan[s+1]) * W
-			c := int(fan[s+2]) * W
-			d := int(fan[s+3]) * W
-			for w := 0; w < W; w++ {
-				v[o+w] = evalTab4(t, v[a+w], v[b+w], v[c+w], v[d+w])
-			}
-		case opTT1:
-			t := ttab[n.aux : n.aux+2 : n.aux+2]
-			a := int(fan[s]) * W
-			for w := 0; w < W; w++ {
-				v[o+w] = evalTab1(t, v[a+w])
-			}
-		case opConst:
-			cw := -uint64(n.tt & 1)
-			for w := 0; w < W; w++ {
-				v[o+w] = cw
-			}
-		default: // opCover
-			cv := &m.covers[n.aux]
-			b := buf[:n.nin]
-			for w := 0; w < W; w++ {
-				for j := int32(0); j < n.nin; j++ {
-					b[j] = v[int(fan[s+j])*W+w]
-				}
-				v[o+w] = cv.EvalWords(b)
-			}
-		}
-	}
-}
-
 // evalHookedRange is the perturbed pass: the plain program with the
 // per-node override, lane-mutation and lane-patch hooks. The opcode
-// dispatch is shared across the lane vector like the other stride-W
-// loops; the hooks then touch only the specific lane words their masks
-// address.
+// dispatch is shared across the lane vector in one stride-W loop; the
+// hooks then touch only the specific lane words their masks address.
 func (m *Machine) evalHookedRange(lo, hi int32, buf []uint64) {
 	W := m.width
 	v := m.val

@@ -342,25 +342,6 @@ func (m *Machine) Width() int { return m.width }
 // (64·Width) — the batch size of fault- and patch-parallel campaigns.
 func (m *Machine) Lanes() int { return 64 * m.width }
 
-// KernelCounts reports how the compiler lowered the plain program's
-// kernels: classified table-free kernels (classify.go), generic
-// truth-table kernels, and sum-of-products cover kernels (constants
-// excluded). The split is a compile-time property — useful for judging
-// how much of a design runs on the fast classified arms.
-func (m *Machine) KernelCounts() (classified, table, cover int) {
-	for i := range m.nodes {
-		switch op := m.nodes[i].op; {
-		case op >= opXor2:
-			classified++
-		case op == opCover:
-			cover++
-		case op >= opTT1 && op <= opTT4:
-			table++
-		}
-	}
-	return classified, table, cover
-}
-
 // Reset restores every DFF to its power-on value and clears all nets.
 // Trace bindings, probes and overrides are configuration, not state, and
 // survive a reset.
